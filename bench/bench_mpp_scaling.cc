@@ -1,8 +1,14 @@
 // Figure 2: MPP shared-nothing scale-out. Fixed total data is distributed
-// over 1..8 nodes; per-shard execution times are measured and cluster
-// wall-clock is modeled via the topology makespan (LPT per node), showing
-// the near-linear scaling curve of the shared-nothing architecture.
+// over 1..8 nodes. For each topology the bench prints the modeled cluster
+// wall-clock (topology makespan over the measured per-shard times, as if
+// every node had its own cores) beside the measured wall-clock of the same
+// query on this host, where every node's shards share the host's cores.
+// Their ratio shows how far one host is from the modeled cluster. Shards
+// run concurrently, so per-shard times include contention for the host's
+// cores and the modeled curve flattens once shards outnumber them.
 #include <cstdio>
+#include <string>
+#include <thread>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -15,8 +21,14 @@ using namespace dashdb::bench;
 namespace {
 
 constexpr size_t kTotalRows = 800000;
+constexpr int kReps = 3;  // measured wall-clock is the best of these
 
-Result<MppQueryResult> LoadAndQuery(int nodes, double* load_s) {
+struct Timing {
+  double modeled_s = 0;   ///< topology makespan of the best run
+  double measured_s = 0;  ///< wall-clock of the best run
+};
+
+Result<Timing> LoadAndQuery(int nodes) {
   MppDatabase db(nodes, /*shards_per_node=*/4, /*cores_per_node=*/8,
                  size_t{16} << 30);
   TableSchema schema("PUBLIC", "F",
@@ -35,40 +47,49 @@ Result<MppQueryResult> LoadAndQuery(int nodes, double* load_s) {
     rows.columns[1].AppendInt(static_cast<int64_t>(rng.Uniform(1000)));
     rows.columns[2].AppendDouble(rng.Uniform(10000) / 100.0);
   }
-  Stopwatch sw;
   DASHDB_RETURN_IF_ERROR(db.Load("PUBLIC", "F", rows));
-  *load_s = sw.ElapsedSeconds();
-  DASHDB_ASSIGN_OR_RETURN(
-      MppQueryResult r,
-      db.Execute("SELECT G, COUNT(*), SUM(V), AVG(V) FROM F GROUP BY G"));
-  // Makespan must be computed against THIS db's topology before it dies.
-  MppQueryResult out = r;
-  out.result.message = std::to_string(r.MakespanOn(*db.topology()));
-  return out;
+  Timing best;
+  for (int rep = 0; rep < kReps; ++rep) {
+    Stopwatch sw;
+    DASHDB_ASSIGN_OR_RETURN(
+        MppQueryResult r,
+        db.Execute("SELECT G, COUNT(*), SUM(V), AVG(V) FROM F GROUP BY G"));
+    const double wall = sw.ElapsedSeconds();
+    if (rep == 0 || wall < best.measured_s) {
+      best.measured_s = wall;
+      best.modeled_s = r.MakespanOn(*db.topology());
+    }
+  }
+  return best;
 }
 
 }  // namespace
 
 int main() {
   PrintHeader("Figure 2: MPP shared-nothing scale-out (fixed total data)");
-  std::printf("  %5s %8s %16s %14s %10s\n", "nodes", "shards",
-              "modeled query s", "speedup vs 1", "efficiency");
+  std::printf("  %5s %8s %16s %14s %10s %17s %15s\n", "nodes", "shards",
+              "modeled query s", "speedup vs 1", "efficiency",
+              "measured query s", "measured/model");
   double base = 0;
   for (int nodes : {1, 2, 4, 8}) {
-    double load_s = 0;
-    auto r = LoadAndQuery(nodes, &load_s);
+    auto r = LoadAndQuery(nodes);
     if (!r.ok()) {
       std::fprintf(stderr, "failed: %s\n", r.status().ToString().c_str());
       return 1;
     }
-    double makespan = std::stod(r->result.message);
+    const double makespan = r->modeled_s;
     if (nodes == 1) base = makespan;
     double speedup = base / makespan;
-    std::printf("  %5d %8d %16.4f %13.2fx %9.0f%%\n", nodes, nodes * 4,
-                makespan, speedup, 100.0 * speedup / nodes);
+    std::printf("  %5d %8d %16.4f %13.2fx %9.0f%% %17.4f %14.2fx\n", nodes,
+                nodes * 4, makespan, speedup, 100.0 * speedup / nodes,
+                r->measured_s, r->measured_s / makespan);
   }
-  PrintNote("shape: near-linear speedup — each node owns 1/N of the shards "
-            "and scans proceed shard-parallel (paper: 'scales to massive "
+  PrintNote("paper shape: near-linear speedup — each node owns 1/N of the "
+            "shards and scans proceed shard-parallel ('scales to massive "
             "data and compute')");
+  PrintNote("here every node shares this host's " +
+            std::to_string(std::thread::hardware_concurrency()) +
+            " cores: per-shard times include that contention, so neither "
+            "column falls once shards outnumber host cores");
   return 0;
 }

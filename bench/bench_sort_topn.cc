@@ -139,7 +139,7 @@ int main() {
     ArmResult base;
     for (size_t ai = 0; ai < arms.size(); ++ai) {
       const Arm& arm = arms[ai];
-      for (const std::string stmt :
+      for (const std::string& stmt :
            {std::string(arm.sort_mode), std::string(arm.topn_mode),
             "SET DOP = " + std::to_string(arm.dop)}) {
         auto set = engine.Execute(session.get(), stmt);
@@ -180,7 +180,7 @@ int main() {
                    "%s{\"arm\": \"%s\", \"dop\": %d, \"seconds\": %.6f, "
                    "\"speedup\": %.3f, \"checksum\": \"%016llx\"}",
                    ai == 0 ? "" : ", ", arm.name, arm.dop, res.best_s,
-                   static_cast<unsigned long long>(res.checksum));
+                   speedup, static_cast<unsigned long long>(res.checksum));
     }
     std::fprintf(json, "], \"identical_results\": %s}%s\n",
                  identical ? "true" : "false",

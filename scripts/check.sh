@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Full verification sweep: Release build + complete ctest, then ASan and
 # TSan builds running the concurrency/fault/differential/trace/hash/
-# optimizer/governor/serving/sort suites (ctest labels: parallel, fault,
-# diff, trace, hash, expr, opt, govern, serve, share, sort). This is the recipe
+# optimizer/governor/serving/sort/MPP suites (ctest labels: parallel, fault,
+# diff, trace, hash, expr, opt, govern, serve, share, sort, mpp). This is the recipe
 # the observability and parallelism PRs are gated on; run it from the repo
 # root. Set JOBS to bound parallelism (defaults to nproc).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
-LABELS='parallel|fault|diff|trace|hash|expr|opt|govern|serve|share|sort'
+LABELS='parallel|fault|diff|trace|hash|expr|opt|govern|serve|share|sort|mpp'
 
 echo "== Release build + full test suite =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -78,8 +78,7 @@ Status SortOp::OpenImpl() {
   return child_->Open();
 }
 
-void SortOp::SerialOrder(const RowBatch& all,
-                         const std::vector<ColumnVector>& key_cols,
+void SortOp::SerialOrder(const std::vector<ColumnVector>& key_cols,
                          std::vector<uint32_t>* order) const {
   // Typed cell comparison straight off the key columns' primitive
   // payloads — no per-comparison Value boxing. Mirrors Value::Compare:
@@ -282,7 +281,7 @@ Status SortOp::Materialize() {
   for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
   if (serial_) {
     runs_used_ = 1;
-    SerialOrder(all, key_cols, &order);
+    SerialOrder(key_cols, &order);
   } else {
     DASHDB_RETURN_IF_ERROR(ParallelOrder(all, key_cols, &order));
   }

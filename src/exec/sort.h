@@ -54,8 +54,7 @@ class SortOp : public Operator {
  private:
   Status Materialize();
   /// The pre-PR single-threaded stable_sort over typed cell comparisons.
-  void SerialOrder(const RowBatch& all,
-                   const std::vector<ColumnVector>& key_cols,
+  void SerialOrder(const std::vector<ColumnVector>& key_cols,
                    std::vector<uint32_t>* order) const;
   /// Normalized-key run sort + (parallel) tournament-tree merge.
   Status ParallelOrder(const RowBatch& all,

@@ -1,7 +1,9 @@
 #include "mpp/mpp.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <cstring>
 #include <thread>
 #include <unordered_map>
@@ -500,14 +502,15 @@ Status MppDatabase::Load(const std::string& schema, const std::string& table,
 }
 
 Status MppDatabase::AttemptWithSpeculation(int shard, const ShardFn& fn,
+                                           QueryContext* parent,
                                            MppExecStats* stats,
                                            ShardAttemptOut* out) {
-  // The primary runs under its own child of the query root: a winning
+  // The primary runs under its own child of the round context: a winning
   // speculative attempt cancels the loser through this context and it
   // stops at its next morsel boundary, so every attempt is joined before
   // this call returns (no abandoned futures, sessions are always idle for
   // the next statement).
-  QueryContext primary_ctx(query_ctx_.get());
+  QueryContext primary_ctx(parent);
   auto primary = std::async(std::launch::async, [&fn, &primary_ctx, shard] {
     AttemptResult r;
     r.status = fn(shard, /*speculative=*/false, &primary_ctx, &r.out);
@@ -524,7 +527,7 @@ Status MppDatabase::AttemptWithSpeculation(int shard, const ShardFn& fn,
   ++stats->speculative_launches;
   GlobalMppInstruments().speculative_launches->Add(1);
   ShardAttemptOut spec;
-  QueryContext spec_ctx(query_ctx_.get());
+  QueryContext spec_ctx(parent);
   Status spec_st = fn(shard, /*speculative=*/true, &spec_ctx, &spec);
   if (spec_st.ok()) {
     // First result wins; actively cancel the straggling primary and join
@@ -545,77 +548,157 @@ Status MppDatabase::AttemptWithSpeculation(int shard, const ShardFn& fn,
   return r.status;
 }
 
-Result<MppDatabase::ShardAttemptOut> MppDatabase::RunShardResilient(
-    int shard, bool idempotent, const ShardFn& fn, MppExecStats* stats,
-    double* seconds) {
+Status MppDatabase::RunShards(const std::vector<int>& shards,
+                              bool idempotent, const ShardFn& fn,
+                              std::vector<ShardRun>* runs) {
   FaultInjector& fault = FaultInjector::Global();
   const FailoverPolicy& pol = fail_policy_;
-  Status last;
-  for (int attempt = 1; attempt <= pol.max_attempts_per_shard; ++attempt) {
-    GlobalMppInstruments().shard_attempts->Add(1);
-    Stopwatch sw;
-    // Gate: "the node just died under you". Fires before the attempt does
-    // anything, so a gate failure is retryable even for DML.
-    Status st = fault.Evaluate(kFaultShardExec);
-    const bool gate_failure = !st.ok();
-    ShardAttemptOut out;
-    if (st.ok()) {
-      if (idempotent && pol.straggler_after_seconds >= 0) {
-        st = AttemptWithSpeculation(shard, fn, stats, &out);
-      } else {
-        st = fn(shard, /*speculative=*/false, query_ctx_.get(), &out);
+  runs->assign(shards_.size(), ShardRun{});
+  // Per-shard state of its latest attempt.
+  struct Slot {
+    int attempt = 0;
+    int node = 0;  ///< owner when dispatched: the node the attempt ran on
+    bool gate_failed = false;
+    Status status;
+  };
+  std::vector<Slot> slots(shards_.size());
+  std::vector<int> pending = shards;
+  // Retryability of one failed attempt. A governed abort (CANCEL or
+  // statement timeout on the query root) must surface, never be retried —
+  // even though kTimeout is transient for shard-budget timeouts.
+  auto retryable = [&](const Slot& slot) {
+    const bool governed = query_ctx_ != nullptr && query_ctx_->cancelled();
+    return slot.status.IsTransient() && (slot.gate_failed || idempotent) &&
+           !governed && slot.attempt < pol.max_attempts_per_shard;
+  };
+  while (!pending.empty()) {
+    if (query_ctx_ != nullptr) {
+      DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
+    }
+    // Every attempt of this round runs under `round`: the first
+    // non-retryable error cancels it, which stops in-flight siblings at
+    // their next morsel boundary.
+    QueryContext round(query_ctx_.get());
+    struct Lane {
+      std::vector<int> shards;  // shard order
+      std::atomic<size_t> next{0};
+    };
+    std::map<int, Lane> lanes;  // node -> its dispatchable shards
+    // Gate: "the node just died under you". Evaluated here, in shard
+    // order, so hit indices map to (shard, attempt) whatever the thread
+    // interleaving; it fires before the attempt does anything, so a gate
+    // failure is retryable even for DML.
+    for (int s : pending) {
+      Slot& slot = slots[s];
+      ++slot.attempt;
+      GlobalMppInstruments().shard_attempts->Add(1);
+      slot.node = topo_.OwnerOf(s);
+      slot.status = fault.Evaluate(kFaultShardExec);
+      slot.gate_failed = !slot.status.ok();
+      if (slot.status.ok()) {
+        lanes[slot.node].shards.push_back(s);
+      } else if (!retryable(slot)) {
+        round.Cancel();
       }
     }
-    double elapsed = sw.ElapsedSeconds();
-    if (st.ok() && idempotent && elapsed > pol.shard_timeout_seconds) {
-      // Post-hoc budget check: the deterministic plan makes discarding a
-      // late result and re-executing safe (and byte-identical).
-      ++stats->timeouts;
-      GlobalMppInstruments().timeouts->Add(1);
-      st = Status::Timeout("shard attempt took " + std::to_string(elapsed) +
-                           "s (budget " +
-                           std::to_string(pol.shard_timeout_seconds) + "s)");
-    }
-    if (st.ok()) {
-      *seconds = elapsed;
-      return out;
-    }
-    last = st.WithContext("shard " + std::to_string(shard) + " (node " +
-                          std::to_string(topo_.OwnerOf(shard)) + ")");
-    // A governed abort (CANCEL or statement timeout on the query root)
-    // must surface to the coordinator, never be retried — even though
-    // kTimeout is transient for shard-budget timeouts.
-    bool governed = query_ctx_ != nullptr && query_ctx_->cancelled();
-    bool retryable =
-        st.IsTransient() && (gate_failure || idempotent) && !governed;
-    if (!retryable || attempt == pol.max_attempts_per_shard) return last;
-    ++stats->shard_retries;
-    GlobalMppInstruments().shard_retries->Add(1);
-    if (st.IsUnavailable() && pol.failover_on_unavailable) {
-      // Model the paper's II.E response: mark the owner dead, reassociate
-      // its shards across survivors, then re-execute only the victim. The
-      // shard's file set lives on the clustered FS, so the retry below IS
-      // the survivor running the reassociated shard.
-      int owner = topo_.OwnerOf(shard);
-      if (topo_.IsAlive(owner) && topo_.num_alive_nodes() > 1 &&
-          topo_.FailNode(owner).ok()) {
-        ++stats->failovers;
-        GlobalMppInstruments().failovers->Add(1);
+    auto run_attempt = [&](int s) {
+      Slot& slot = slots[s];
+      ShardRun& run = (*runs)[s];
+      run.out = ShardAttemptOut{};
+      Stopwatch sw;
+      Status st = idempotent && pol.straggler_after_seconds >= 0
+                      ? AttemptWithSpeculation(s, fn, &round, &run.stats,
+                                               &run.out)
+                      : fn(s, /*speculative=*/false, &round, &run.out);
+      run.seconds = sw.ElapsedSeconds();
+      if (st.ok() && idempotent && run.seconds > pol.shard_timeout_seconds) {
+        // Post-hoc budget check: the deterministic plan makes discarding a
+        // late result and re-executing safe (and byte-identical).
+        ++run.stats.timeouts;
+        GlobalMppInstruments().timeouts->Add(1);
+        st = Status::Timeout("shard attempt took " +
+                             std::to_string(run.seconds) + "s (budget " +
+                             std::to_string(pol.shard_timeout_seconds) +
+                             "s)");
+      }
+      slot.status = std::move(st);
+      if (!slot.status.ok() && !retryable(slot)) round.Cancel();
+    };
+    // Each node works through its shards with at most `cores` attempts in
+    // flight; a lone attempt runs on the calling thread.
+    std::vector<std::function<void()>> workers;
+    for (auto& [node, lane] : lanes) {
+      const size_t width = std::min<size_t>(
+          lane.shards.size(),
+          static_cast<size_t>(std::max(1, topo_.node(node).cores)));
+      for (size_t w = 0; w < width; ++w) {
+        workers.push_back([&run_attempt, &lane] {
+          for (;;) {
+            const size_t i = lane.next.fetch_add(1);
+            if (i >= lane.shards.size()) return;
+            run_attempt(lane.shards[i]);
+          }
+        });
       }
     }
-    // Bounded exponential backoff; jitter is a pure function of
-    // (injector seed, shard, attempt) so schedules replay exactly.
-    double delay = pol.backoff_base_seconds *
-                   static_cast<double>(uint64_t{1} << (attempt - 1));
-    delay = std::min(delay, pol.backoff_max_seconds);
-    Rng jitter(fault.seed() ^ (static_cast<uint64_t>(shard) << 32) ^
-               static_cast<uint64_t>(attempt));
-    delay *= 0.5 + 0.5 * jitter.NextDouble();
-    if (delay > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    if (workers.size() == 1) {
+      workers[0]();
+    } else {
+      // Joined when this scope ends, on every path.
+      std::vector<std::jthread> threads(workers.begin(), workers.end());
     }
+    // Fold in shard order on this thread: the lowest-index shard's own
+    // error wins over a sibling's kCancelled (induced by the round cancel
+    // or by a deadline another shard tripped first).
+    const Status* fatal = nullptr;
+    std::vector<int> retry;
+    double backoff = 0;
+    for (int s : pending) {
+      Slot& slot = slots[s];
+      if (slot.status.ok()) continue;
+      slot.status = slot.status.WithContext(
+          "shard " + std::to_string(s) + " (node " +
+          std::to_string(slot.node) + ")");
+      if (!retryable(slot)) {
+        if (fatal == nullptr ||
+            (fatal->IsCancelled() && !slot.status.IsCancelled())) {
+          fatal = &slot.status;
+        }
+        continue;
+      }
+      retry.push_back(s);
+      ShardRun& run = (*runs)[s];
+      ++run.stats.shard_retries;
+      GlobalMppInstruments().shard_retries->Add(1);
+      if (slot.status.IsUnavailable() && pol.failover_on_unavailable) {
+        // Model the paper's II.E response: mark the node the attempt ran
+        // on dead, reassociate its shards across survivors, then
+        // re-execute only the victims. The shard's file set lives on the
+        // clustered FS, so the retry IS a survivor running the
+        // reassociated shard.
+        if (topo_.IsAlive(slot.node) && topo_.num_alive_nodes() > 1 &&
+            topo_.FailNode(slot.node).ok()) {
+          ++run.stats.failovers;
+          GlobalMppInstruments().failovers->Add(1);
+        }
+      }
+      // Bounded exponential backoff; jitter is a pure function of
+      // (injector seed, shard, attempt) so schedules replay exactly. The
+      // victims back off side by side, so the round waits for the longest.
+      double delay = pol.backoff_base_seconds *
+                     static_cast<double>(uint64_t{1} << (slot.attempt - 1));
+      delay = std::min(delay, pol.backoff_max_seconds);
+      Rng jitter(fault.seed() ^ (static_cast<uint64_t>(s) << 32) ^
+                 static_cast<uint64_t>(slot.attempt));
+      backoff = std::max(backoff, delay * (0.5 + 0.5 * jitter.NextDouble()));
+    }
+    if (fatal != nullptr) return *fatal;
+    if (backoff > 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+    }
+    pending = std::move(retry);
   }
-  return last;
+  return Status::OK();
 }
 
 Result<MppQueryResult> MppDatabase::Broadcast(const std::string& sql) {
@@ -629,14 +712,14 @@ Result<MppQueryResult> MppDatabase::Broadcast(const std::string& sql) {
         o->qr, shards_[shard]->Execute(sessions_[shard].get(), sql));
     return Status::OK();
   };
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    double secs = 0;
-    DASHDB_ASSIGN_OR_RETURN(
-        ShardAttemptOut r,
-        RunShardResilient(static_cast<int>(s), /*idempotent=*/false, fn,
-                          &out.exec, &secs));
-    out.result = std::move(r.qr);
-    out.shard_seconds[s] = secs;
+  // Serial on purpose: a DDL/DML statement that fails on shard k must not
+  // have run on shards after it, so each shard is its own dispatch.
+  std::vector<ShardRun> runs;
+  for (int s = 0; s < num_shards(); ++s) {
+    DASHDB_RETURN_IF_ERROR(RunShards({s}, /*idempotent=*/false, fn, &runs));
+    FoldExecStats(runs[s].stats, &out.exec);
+    out.result = std::move(runs[s].out.qr);
+    out.shard_seconds[s] = runs[s].seconds;
   }
   return out;
 }
@@ -757,9 +840,10 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
   MppQueryResult out;
   out.shard_seconds.resize(shards_.size(), 0);
   out.shard_exec.resize(shards_.size());
-  // EXPLAIN ANALYZE state: the coordinator's span tree (shards execute
-  // serially in shard order, so span ids are deterministic) plus the
-  // per-shard annotated plans for the combined report.
+  // EXPLAIN ANALYZE state: the coordinator's span tree (shard spans are
+  // added in shard order after the dispatch round joins, so span ids are
+  // deterministic) plus the per-shard annotated plans for the combined
+  // report.
   std::shared_ptr<Trace> trace;
   uint32_t root_span = 0;
   std::vector<std::string> shard_plans(shards_.size());
@@ -767,31 +851,44 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     trace = std::make_shared<Trace>();
     root_span = trace->AddSpan("MppQuery", Trace::kNoParent);
   }
-  // Records one shard's attempt outcome into the trace and report state.
-  auto record_shard = [&](size_t s, const MppExecStats& sstats,
-                          ShardAttemptOut& r, double secs) {
-    out.shard_exec[s] = sstats;
-    FoldExecStats(sstats, &out.exec);
-    if (!analyze) return;
-    uint32_t sid = trace->AddSpan("Shard", root_span);
-    TraceSpan& ss = trace->span(sid);
-    ss.rows = r.batch.num_rows();
-    ss.wall_seconds = secs;
-    ss.attrs["shard"] = static_cast<int64_t>(s);
-    ss.attrs["attempts"] = static_cast<int64_t>(1 + sstats.shard_retries);
-    if (sstats.shard_retries) {
-      ss.attrs["retries"] = static_cast<int64_t>(sstats.shard_retries);
+  // Runs one shard-local plan on every shard through the dispatcher, then
+  // folds each shard's timing, stats, merge memory charge, and trace span
+  // in shard order.
+  MergeCharge mem{query_ctx_.get()};
+  auto run_shards = [&](const ShardFn& fn, const char* what,
+                        std::vector<ShardRun>* runs) -> Status {
+    std::vector<int> all(shards_.size());
+    for (size_t s = 0; s < all.size(); ++s) all[s] = static_cast<int>(s);
+    DASHDB_RETURN_IF_ERROR(RunShards(all, /*idempotent=*/true, fn, runs));
+    for (size_t s = 0; s < all.size(); ++s) {
+      ShardRun& run = (*runs)[s];
+      const MppExecStats& sstats = run.stats;
+      out.shard_seconds[s] = run.seconds;
+      out.shard_exec[s] = sstats;
+      FoldExecStats(sstats, &out.exec);
+      DASHDB_RETURN_IF_ERROR(mem.Add(BatchMemoryBytes(run.out.batch), what));
+      if (!analyze) continue;
+      uint32_t sid = trace->AddSpan("Shard", root_span);
+      TraceSpan& ss = trace->span(sid);
+      ss.rows = run.out.batch.num_rows();
+      ss.wall_seconds = run.seconds;
+      ss.attrs["shard"] = static_cast<int64_t>(s);
+      ss.attrs["attempts"] = static_cast<int64_t>(1 + sstats.shard_retries);
+      if (sstats.shard_retries) {
+        ss.attrs["retries"] = static_cast<int64_t>(sstats.shard_retries);
+      }
+      if (sstats.failovers) {
+        ss.attrs["failovers"] = static_cast<int64_t>(sstats.failovers);
+      }
+      if (sstats.speculative_launches) {
+        ss.attrs["spec_launches"] =
+            static_cast<int64_t>(sstats.speculative_launches);
+        ss.attrs["spec_wins"] = static_cast<int64_t>(sstats.speculative_wins);
+      }
+      if (run.out.shard_trace) trace->Graft(*run.out.shard_trace, sid);
+      shard_plans[s] = std::move(run.out.analyzed_plan);
     }
-    if (sstats.failovers) {
-      ss.attrs["failovers"] = static_cast<int64_t>(sstats.failovers);
-    }
-    if (sstats.speculative_launches) {
-      ss.attrs["spec_launches"] =
-          static_cast<int64_t>(sstats.speculative_launches);
-      ss.attrs["spec_wins"] = static_cast<int64_t>(sstats.speculative_wins);
-    }
-    if (r.shard_trace) trace->Graft(*r.shard_trace, sid);
-    shard_plans[s] = std::move(r.analyzed_plan);
+    return Status::OK();
   };
   // Assembles the combined report once the merged result cardinality is
   // known: cluster header, per-shard counters, indented shard plans.
@@ -865,41 +962,26 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     } else {
       shard_sel->limit = -1;
     }
-    ShardFn fn = MakeShardSelectFn(shard_sel, analyze, bloom_filters);
+    std::vector<ShardRun> runs;
+    DASHDB_RETURN_IF_ERROR(
+        run_shards(MakeShardSelectFn(shard_sel, analyze, bloom_filters),
+                   "MPP result assembly", &runs));
+    const std::vector<OutputCol> cols = runs[0].out.cols;
     RowBatch merged;                      // legacy concatenation
     std::vector<RowBatch> shard_batches;  // push_sort: one stream per shard
-    std::vector<OutputCol> cols;
-    MergeCharge mem{query_ctx_.get()};
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      // Shards run serially: probe the governor between them so CANCEL and
-      // deadlines abort the coordinator without dispatching further shards.
-      if (query_ctx_ != nullptr) {
-        DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
-      }
-      double secs = 0;
-      MppExecStats sstats;
-      DASHDB_ASSIGN_OR_RETURN(
-          ShardAttemptOut r,
-          RunShardResilient(static_cast<int>(s), /*idempotent=*/true, fn,
-                            &sstats, &secs));
-      out.shard_seconds[s] = secs;
-      if (cols.empty()) {
-        cols = r.cols;
-        for (const auto& c : cols) merged.columns.emplace_back(c.type);
-      }
-      DASHDB_RETURN_IF_ERROR(
-          mem.Add(BatchMemoryBytes(r.batch), "MPP result assembly"));
-      record_shard(s, sstats, r, secs);
+    for (const auto& c : cols) merged.columns.emplace_back(c.type);
+    for (ShardRun& run : runs) {
       if (push_sort) {
-        shard_batches.push_back(std::move(r.batch));
+        shard_batches.push_back(std::move(run.out.batch));
         continue;
       }
-      const RowBatch& batch = r.batch;
+      const RowBatch& batch = run.out.batch;
       for (size_t i = 0; i < batch.num_rows(); ++i) {
         for (size_t c = 0; c < batch.columns.size(); ++c) {
           merged.columns[c].AppendFrom(batch.columns[c], i);
         }
       }
+      run.out.batch = RowBatch{};  // drop each shard stream once appended
     }
     out.result.columns = cols;
     if (push_sort) {
@@ -1110,25 +1192,13 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     std::vector<Value> partials;
   };
   std::unordered_map<std::string, GroupAccum> table;
-  std::vector<OutputCol> partial_cols;
-  ShardFn fn = MakeShardSelectFn(partial_p, analyze, bloom_filters);
-  MergeCharge mem{query_ctx_.get()};
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (query_ctx_ != nullptr) {
-      DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
-    }
-    double secs = 0;
-    MppExecStats sstats;
-    DASHDB_ASSIGN_OR_RETURN(
-        ShardAttemptOut r,
-        RunShardResilient(static_cast<int>(s), /*idempotent=*/true, fn,
-                          &sstats, &secs));
-    out.shard_seconds[s] = secs;
-    record_shard(s, sstats, r, secs);
-    const RowBatch& batch = r.batch;
-    DASHDB_RETURN_IF_ERROR(
-        mem.Add(BatchMemoryBytes(batch), "MPP partial-aggregate merge"));
-    if (partial_cols.empty()) partial_cols = r.cols;
+  std::vector<ShardRun> runs;
+  DASHDB_RETURN_IF_ERROR(
+      run_shards(MakeShardSelectFn(partial_p, analyze, bloom_filters),
+                 "MPP partial-aggregate merge", &runs));
+  const std::vector<OutputCol> partial_cols = runs[0].out.cols;
+  for (const ShardRun& run : runs) {
+    const RowBatch& batch = run.out.batch;
     for (size_t i = 0; i < batch.num_rows(); ++i) {
       std::string key;
       for (size_t g = 0; g < n_groups; ++g) {

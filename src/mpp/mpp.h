@@ -5,8 +5,9 @@
 //
 // Shards always remain executable because their file sets live on the
 // shared clustered filesystem; node failure only changes WHICH node runs a
-// shard (src/mpp/topology.h). Cluster wall-clock for a query is therefore
-// modeled as the topology makespan over measured per-shard times.
+// shard (src/mpp/topology.h). Shard attempts run concurrently, at most
+// `cores` per node; MppQueryResult::MakespanOn still models what the query
+// would take on a real cluster from the measured per-shard times.
 #pragma once
 
 #include <condition_variable>
@@ -135,8 +136,10 @@ struct MppQueryResult {
   /// EXPLAIN ANALYZE renders these as per-shard attempt/retry counters.
   std::vector<MppExecStats> shard_exec;
   /// Span tree for EXPLAIN ANALYZE: MppQuery -> Shard -> operator spans.
-  /// Ids are deterministic (shards execute serially in shard order), so the
-  /// tree replays exactly under a fixed fault seed.
+  /// Shards run concurrently, but their spans are added on the coordinator
+  /// in shard order after every attempt has joined, and retries are
+  /// decided there too, so ids are deterministic and the tree replays
+  /// exactly under a fixed fault seed.
   std::shared_ptr<const Trace> trace;
 
   /// Modeled cluster wall-clock on `topo` (max over nodes of LPT schedule).
@@ -175,8 +178,8 @@ class MppDatabase {
   /// Governed execution: the statement runs under `qctx` (null makes a
   /// fresh ungoverned context). Cancel()/deadline/budget on the root stop
   /// shard-local plans at the next morsel boundary, abort the coordinator
-  /// between shards, and bound the merged-result memory; every shard
-  /// attempt runs under a child of this root.
+  /// before the next dispatch round, and bound the merged-result memory;
+  /// every shard attempt runs under a child of this root.
   Result<MppQueryResult> Execute(const std::string& sql,
                                  std::shared_ptr<QueryContext> qctx);
 
@@ -211,12 +214,14 @@ class MppDatabase {
     Status status;
     ShardAttemptOut out;
   };
-  /// A re-executable shard task. MUST be safe to run twice concurrently
-  /// when `speculative` differs (fresh session on the speculative run).
-  /// `qctx` is the attempt's governor (a child of the query root, or the
-  /// root itself for non-speculative attempts; may be null for ungoverned
-  /// callers): the fn attaches it to the shard-local plan so cancellation,
-  /// deadlines, and budgets reach every morsel it runs.
+  /// A re-executable shard task. MUST be safe to run concurrently for
+  /// different shards (each touches only its own shard engine and session)
+  /// and twice for one shard when `speculative` differs (fresh session on
+  /// the speculative run).
+  /// `qctx` is the attempt's governor (the dispatch round's child of the
+  /// query root, or a per-attempt child of it under speculation): the fn
+  /// attaches it to the shard-local plan so cancellation, deadlines, and
+  /// budgets reach every morsel it runs.
   using ShardFn = std::function<Status(int shard, bool speculative,
                                        QueryContext* qctx,
                                        ShardAttemptOut* out)>;
@@ -242,21 +247,37 @@ class MppDatabase {
   std::shared_ptr<const std::vector<RuntimeScanFilter>> PrepareBloomPushdown(
       const ast::SelectStmt& sel);
 
-  /// Runs one shard task under the failover policy: fault-point gate,
-  /// retry/backoff, timeout classification, node failover, speculation.
+  /// One shard's outcome from RunShards: the winning attempt's payload and
+  /// wall time, plus what fault tolerance did for that shard.
+  struct ShardRun {
+    ShardAttemptOut out;
+    MppExecStats stats;
+    double seconds = 0;
+  };
+
+  /// The shard dispatcher: runs `fn` on each shard in `shards` under the
+  /// failover policy, in rounds. A round probes the query governor,
+  /// evaluates the mpp.shard_exec gate of every shard still owed an attempt
+  /// in shard order, runs the attempts that passed concurrently (at most
+  /// `cores` in flight per node, the rule ClusterTopology::Makespan models)
+  /// under a child QueryContext, joins them, and only then does timeout
+  /// classification, retry, failover and backoff on the calling thread.
+  /// Fault hit indices therefore stay tied to (shard, attempt), and the
+  /// topology and stats change on one thread in shard order. The first
+  /// non-retryable error cancels in-flight siblings; the error returned is
+  /// the lowest-index shard's own error, not a sibling's kCancelled.
   /// `idempotent` marks side-effect-free tasks (SELECT); non-idempotent
-  /// tasks only retry failures injected before the task ran.
-  Result<ShardAttemptOut> RunShardResilient(int shard, bool idempotent,
-                                            const ShardFn& fn,
-                                            MppExecStats* stats,
-                                            double* seconds);
+  /// tasks only retry gate failures. `runs` is resized to num_shards().
+  Status RunShards(const std::vector<int>& shards, bool idempotent,
+                   const ShardFn& fn, std::vector<ShardRun>* runs);
   /// First-result-wins speculation: the primary attempt runs async under
-  /// its own child QueryContext; if the speculative re-execution finishes
+  /// its own child of `parent`; if the speculative re-execution finishes
   /// first, the loser is actively cancelled through that context and
   /// joined before returning (it stops at its next morsel boundary), so no
   /// attempt ever outlives the Execute call that launched it.
   Status AttemptWithSpeculation(int shard, const ShardFn& fn,
-                                MppExecStats* stats, ShardAttemptOut* out);
+                                QueryContext* parent, MppExecStats* stats,
+                                ShardAttemptOut* out);
 
   Result<MppQueryResult> ExecSelect(const ast::SelectStmt& sel,
                                     bool analyze = false);

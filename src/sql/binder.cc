@@ -1095,7 +1095,7 @@ class SelectBinder {
         DASHDB_ASSIGN_OR_RETURN(
             root, BuildJoinTree(stmt, item_cols, std::move(sources),
                                 source_ptrs, estimates, pruned, &join_pool,
-                                &residual, &scope));
+                                &scope));
       }
       // Unconsumed join-pool conjuncts become residual filters.
       for (auto& j : join_pool) residual.push_back(j);
@@ -1589,8 +1589,7 @@ class SelectBinder {
       const std::vector<Operator*>& source_ptrs,
       const std::vector<RelationEstimate>& estimates,
       const std::vector<std::vector<int>>& pruned,
-      std::vector<ExprP>* join_pool, std::vector<ExprP>* residual,
-      Scope* scope) {
+      std::vector<ExprP>* join_pool, Scope* scope) {
     // Resolves a raw column ref against the pruned per-item scopes of items
     // [0, upto); -1 on miss or ambiguity. Used for NDV lookup and for the
     // Bloom pushdown target (which must be a base scan's output column).

@@ -5,12 +5,15 @@
 // fault-free run, and the whole schedule must replay from its seed.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/fault_injector.h"
 #include "common/metrics.h"
+#include "common/stopwatch.h"
 #include "mpp/mpp.h"
 
 namespace dashdb {
@@ -228,6 +231,127 @@ TEST_F(MppFaultTest, ProbabilisticScheduleReplaysFromSeed) {
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(std::get<0>(a), ResultKey(*clean))
       << "faulted run matches the fault-free answer";
+}
+
+// --- concurrent shard dispatch ----------------------------------------------
+
+TEST_F(MppFaultTest, ShardAttemptsRunConcurrently) {
+  auto db = MakeLoadedDb();
+  ASSERT_EQ(db->num_shards(), 8);
+  std::vector<std::string> clean;
+  for (const char* q : kQueries) {
+    auto r = db->Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    clean.push_back(ResultKey(*r));
+  }
+  // Every shard attempt stalls 0.2s: one at a time that is >= 1.6s per
+  // query, side by side (8 cores per node) it is one stall plus overhead.
+  FaultSpec stall;
+  stall.code = StatusCode::kOk;
+  stall.stall_seconds = 0.2;
+  ScopedFault armed(kShardStall, stall);
+  for (size_t qi = 0; qi < 3; ++qi) {
+    Stopwatch sw;
+    auto r = db->Execute(kQueries[qi]);
+    const double wall = sw.ElapsedSeconds();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_LT(wall, 0.8) << "query " << qi << " shards ran serially";
+    EXPECT_EQ(ResultKey(*r), clean[qi]) << "query " << qi;
+    EXPECT_EQ(r->exec.shard_retries, 0u);
+    for (double s : r->shard_seconds) EXPECT_GE(s, 0.2);
+  }
+}
+
+TEST_F(MppFaultTest, FatalFaultJoinsSiblingsAndReportsItsOwnShard) {
+  auto db = MakeLoadedDb();
+  auto clean = db->Execute(kQueries[1]);
+  ASSERT_TRUE(clean.ok());
+  FaultSpec stall;  // siblings that got to run would sit in this stall
+  stall.code = StatusCode::kOk;
+  stall.stall_seconds = 0.3;
+  FaultSpec fatal;
+  fatal.code = StatusCode::kInternal;
+  fatal.message = "disk on fire";
+  fatal.skip_hits = 5;
+  fatal.max_fires = 1;
+  {
+    ScopedFault stalled(kShardStall, stall);
+    ScopedFault armed(kShardExec, fatal);
+    MetricDeltaScope delta;
+    auto r = db->Execute(kQueries[1]);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInternal)
+        << "a sibling's kCancelled must not mask the real error: "
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("shard 5"), std::string::npos)
+        << r.status().ToString();
+    // The fatal gate cancelled the round before any sibling reached its
+    // stall, and every sibling was joined before Execute returned: nothing
+    // is still running to hit the stall point afterwards.
+    EXPECT_GE(delta.Delta("exec.cancelled"), 1);
+    const uint64_t hits = FaultInjector::Global().PointStats(kShardStall).hits;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(FaultInjector::Global().PointStats(kShardStall).hits, hits);
+  }
+  auto after = db->Execute(kQueries[1]);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(ResultKey(*after), ResultKey(*clean));
+}
+
+TEST_F(MppFaultTest, DeadlineMidRoundReportsTimeoutNotSiblingCancel) {
+  auto db = MakeLoadedDb();
+  FaultSpec stall;
+  stall.code = StatusCode::kOk;
+  stall.stall_seconds = 0.1;
+  ScopedFault armed(kShardStall, stall);
+  // The deadline passes while all 8 attempts stall; the first shard to
+  // probe its governor afterwards sees kTimeout, the rest the sticky
+  // cancel. The query must still report the timeout.
+  auto qctx = std::make_shared<QueryContext>();
+  qctx->SetTimeout(0.05);
+  auto r = db->Execute(kQueries[0], qctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsTimeout()) << r.status().ToString();
+  EXPECT_EQ(db->topology()->num_alive_nodes(), 4) << "no failover on abort";
+}
+
+TEST_F(MppFaultTest, TwoNodeKillsInOneRoundFailOverBoth) {
+  auto db = MakeLoadedDb();
+  std::vector<std::string> clean;
+  for (const char* q : kQueries) {
+    auto r = db->Execute(q);
+    ASSERT_TRUE(r.ok());
+    clean.push_back(ResultKey(*r));
+  }
+  for (size_t qi = 0; qi < 3; ++qi) {
+    auto fresh = MakeLoadedDb();
+    // Shards 1 and 2 live on nodes 0 and 1; both gates fire in round 1.
+    ASSERT_NE(fresh->topology()->OwnerOf(1), fresh->topology()->OwnerOf(2));
+    FaultSpec kill;
+    kill.code = StatusCode::kUnavailable;
+    kill.message = "node lost";
+    kill.skip_hits = 1;
+    kill.max_fires = 2;
+    ScopedFault armed(4242, kShardExec, kill);
+    auto r = fresh->Execute(kQueries[qi]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(ResultKey(*r), clean[qi]) << "query " << qi;
+    EXPECT_EQ(r->exec.shard_retries, 2u);
+    EXPECT_EQ(r->exec.failovers, 2u);
+    ASSERT_EQ(r->shard_exec.size(), 8u);
+    EXPECT_EQ(r->shard_exec[1].failovers, 1u);
+    EXPECT_EQ(r->shard_exec[2].failovers, 1u);
+    // Consistent topology: two survivors own all 8 shards, 4 each.
+    const ClusterTopology& topo = *fresh->topology();
+    EXPECT_EQ(topo.num_alive_nodes(), 2);
+    EXPECT_FALSE(topo.IsAlive(0));
+    EXPECT_FALSE(topo.IsAlive(1));
+    for (int s = 0; s < topo.num_shards(); ++s) {
+      EXPECT_TRUE(topo.IsAlive(topo.OwnerOf(s))) << "shard " << s;
+    }
+    EXPECT_EQ(topo.ShardsOnNode(2).size(), 4u);
+    EXPECT_EQ(topo.ShardsOnNode(3).size(), 4u);
+  }
 }
 
 }  // namespace
