@@ -1,14 +1,15 @@
 // Figure 2: MPP shared-nothing scale-out. Fixed total data is distributed
 // over 1..8 nodes. For each topology the bench prints the modeled cluster
-// wall-clock (topology makespan over the measured per-shard times, as if
-// every node had its own cores) beside the measured wall-clock of the same
-// query on this host, where every node's shards share the host's cores.
-// Their ratio shows how far one host is from the modeled cluster. Shards
-// run concurrently, so per-shard times include contention for the host's
-// cores and the modeled curve flattens once shards outnumber them.
+// wall-clock beside the measured wall-clock of the same query on this host.
+// The model is the topology makespan over per-shard times taken one shard
+// at a time, so no shard competes for a core: what each node would see
+// with its own cores. The measured query runs the shards concurrently,
+// every node's shards sharing this host's cores, so the ratio shows how far
+// one host is from the modeled cluster.
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -21,11 +22,18 @@ using namespace dashdb::bench;
 namespace {
 
 constexpr size_t kTotalRows = 800000;
-constexpr int kReps = 3;  // measured wall-clock is the best of these
+constexpr int kReps = 3;       // measured wall-clock: best of these
+constexpr int kShardReps = 9;  // per-shard times (a few ms): best of these
+
+constexpr const char* kQuery =
+    "SELECT G, COUNT(*), SUM(V), AVG(V) FROM F GROUP BY G";
+// The shard-local partial aggregate the coordinator ships for kQuery.
+constexpr const char* kShardQuery =
+    "SELECT G, COUNT(*), SUM(V), COUNT(V) FROM F GROUP BY G";
 
 struct Timing {
-  double modeled_s = 0;   ///< topology makespan of the best run
-  double measured_s = 0;  ///< wall-clock of the best run
+  double modeled_s = 0;   ///< makespan over uncontended per-shard times
+  double measured_s = 0;  ///< best wall-clock of the concurrent query
 };
 
 Result<Timing> LoadAndQuery(int nodes) {
@@ -51,15 +59,25 @@ Result<Timing> LoadAndQuery(int nodes) {
   Timing best;
   for (int rep = 0; rep < kReps; ++rep) {
     Stopwatch sw;
-    DASHDB_ASSIGN_OR_RETURN(
-        MppQueryResult r,
-        db.Execute("SELECT G, COUNT(*), SUM(V), AVG(V) FROM F GROUP BY G"));
+    DASHDB_RETURN_IF_ERROR(db.Execute(kQuery).status());
     const double wall = sw.ElapsedSeconds();
-    if (rep == 0 || wall < best.measured_s) {
-      best.measured_s = wall;
-      best.modeled_s = r.MakespanOn(*db.topology());
+    if (rep == 0 || wall < best.measured_s) best.measured_s = wall;
+  }
+  // Each shard's partial aggregate alone on the host (shard engines run at
+  // DOP 1, so this is one core's work), best of kShardReps.
+  std::vector<double> shard_s(db.num_shards(), 0);
+  for (int s = 0; s < db.num_shards(); ++s) {
+    Engine* shard = db.shard_engine(s);
+    auto session = shard->CreateSession();
+    for (int rep = 0; rep < kShardReps; ++rep) {
+      Stopwatch sw;
+      DASHDB_RETURN_IF_ERROR(
+          shard->Execute(session.get(), kShardQuery).status());
+      const double t = sw.ElapsedSeconds();
+      if (rep == 0 || t < shard_s[s]) shard_s[s] = t;
     }
   }
+  best.modeled_s = db.topology()->Makespan(shard_s);
   return best;
 }
 
@@ -87,9 +105,8 @@ int main() {
   PrintNote("paper shape: near-linear speedup — each node owns 1/N of the "
             "shards and scans proceed shard-parallel ('scales to massive "
             "data and compute')");
-  PrintNote("here every node shares this host's " +
+  PrintNote("measured: every node shares this host's " +
             std::to_string(std::thread::hardware_concurrency()) +
-            " cores: per-shard times include that contention, so neither "
-            "column falls once shards outnumber host cores");
+            " cores, so it stops falling once shards outnumber them");
   return 0;
 }

@@ -550,9 +550,14 @@ Status MppDatabase::AttemptWithSpeculation(int shard, const ShardFn& fn,
 
 Status MppDatabase::RunShards(const std::vector<int>& shards,
                               bool idempotent, const ShardFn& fn,
-                              std::vector<ShardRun>* runs) {
+                              std::vector<ShardRun>* runs,
+                              const AcceptFn& accept) {
   FaultInjector& fault = FaultInjector::Global();
   const FailoverPolicy& pol = fail_policy_;
+  // Only side-effect-free tasks answer to the governor once dispatch has
+  // begun: cancelling a broadcast between shards would leave a statement
+  // applied on some shards and not on the others.
+  QueryContext* const governor = idempotent ? query_ctx_.get() : nullptr;
   runs->assign(shards_.size(), ShardRun{});
   // Per-shard state of its latest attempt.
   struct Slot {
@@ -567,18 +572,16 @@ Status MppDatabase::RunShards(const std::vector<int>& shards,
   // statement timeout on the query root) must surface, never be retried —
   // even though kTimeout is transient for shard-budget timeouts.
   auto retryable = [&](const Slot& slot) {
-    const bool governed = query_ctx_ != nullptr && query_ctx_->cancelled();
+    const bool governed = governor != nullptr && governor->cancelled();
     return slot.status.IsTransient() && (slot.gate_failed || idempotent) &&
            !governed && slot.attempt < pol.max_attempts_per_shard;
   };
   while (!pending.empty()) {
-    if (query_ctx_ != nullptr) {
-      DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
-    }
+    if (governor != nullptr) DASHDB_RETURN_IF_ERROR(governor->CheckAlive());
     // Every attempt of this round runs under `round`: the first
     // non-retryable error cancels it, which stops in-flight siblings at
     // their next morsel boundary.
-    QueryContext round(query_ctx_.get());
+    QueryContext round(governor);
     struct Lane {
       std::vector<int> shards;  // shard order
       std::atomic<size_t> next{0};
@@ -587,7 +590,9 @@ Status MppDatabase::RunShards(const std::vector<int>& shards,
     // Gate: "the node just died under you". Evaluated here, in shard
     // order, so hit indices map to (shard, attempt) whatever the thread
     // interleaving; it fires before the attempt does anything, so a gate
-    // failure is retryable even for DML.
+    // failure is retryable even for DML. A fatal gate failure ends the
+    // query, so nothing of this round is dispatched after it.
+    bool gate_fatal = false;
     for (int s : pending) {
       Slot& slot = slots[s];
       ++slot.attempt;
@@ -598,9 +603,10 @@ Status MppDatabase::RunShards(const std::vector<int>& shards,
       if (slot.status.ok()) {
         lanes[slot.node].shards.push_back(s);
       } else if (!retryable(slot)) {
-        round.Cancel();
+        gate_fatal = true;
       }
     }
+    if (gate_fatal) lanes.clear();
     auto run_attempt = [&](int s) {
       Slot& slot = slots[s];
       ShardRun& run = (*runs)[s];
@@ -621,6 +627,7 @@ Status MppDatabase::RunShards(const std::vector<int>& shards,
                              std::to_string(pol.shard_timeout_seconds) +
                              "s)");
       }
+      if (st.ok() && accept) st = accept(run.out);
       slot.status = std::move(st);
       if (!slot.status.ok() && !retryable(slot)) round.Cancel();
     };
@@ -704,14 +711,17 @@ Status MppDatabase::RunShards(const std::vector<int>& shards,
 Result<MppQueryResult> MppDatabase::Broadcast(const std::string& sql) {
   MppQueryResult out;
   out.shard_seconds.resize(shards_.size(), 0);
-  ShardFn fn = [this, sql](int shard, bool /*speculative*/, QueryContext* qctx,
+  ShardFn fn = [this, sql](int shard, bool /*speculative*/,
+                           QueryContext* /*qctx*/,
                            ShardAttemptOut* o) -> Status {
-    if (qctx != nullptr) DASHDB_RETURN_IF_ERROR(qctx->CheckAlive());
     DASHDB_RETURN_IF_ERROR(FaultInjector::Global().Evaluate(kFaultShardStall));
     DASHDB_ASSIGN_OR_RETURN(
         o->qr, shards_[shard]->Execute(sessions_[shard].get(), sql));
     return Status::OK();
   };
+  // All or nothing under the governor: CANCEL or a statement timeout is
+  // honoured here, before shard 0, and never between shards.
+  if (query_ctx_ != nullptr) DASHDB_RETURN_IF_ERROR(query_ctx_->CheckAlive());
   // Serial on purpose: a DDL/DML statement that fails on shard k must not
   // have run on shards after it, so each shard is its own dispatch.
   std::vector<ShardRun> runs;
@@ -796,7 +806,7 @@ struct FinalItem {
 /// output) and released in one piece when merging finishes.
 struct MergeCharge {
   QueryContext* qc = nullptr;
-  int64_t bytes = 0;
+  std::atomic<int64_t> bytes{0};  // shard workers charge concurrently
   Status Add(int64_t b, const char* what) {
     if (qc == nullptr || b <= 0) return Status::OK();
     DASHDB_RETURN_IF_ERROR(qc->Charge(b, what));
@@ -852,21 +862,26 @@ Result<MppQueryResult> MppDatabase::ExecSelect(const ast::SelectStmt& sel,
     root_span = trace->AddSpan("MppQuery", Trace::kNoParent);
   }
   // Runs one shard-local plan on every shard through the dispatcher, then
-  // folds each shard's timing, stats, merge memory charge, and trace span
-  // in shard order.
+  // folds each shard's timing, stats, and trace span in shard order. Each
+  // shard's result is charged to the merge as soon as its attempt
+  // succeeds, so a breach cancels the siblings still running instead of
+  // holding every shard's result before the budget sees one.
   MergeCharge mem{query_ctx_.get()};
   auto run_shards = [&](const ShardFn& fn, const char* what,
                         std::vector<ShardRun>* runs) -> Status {
     std::vector<int> all(shards_.size());
     for (size_t s = 0; s < all.size(); ++s) all[s] = static_cast<int>(s);
-    DASHDB_RETURN_IF_ERROR(RunShards(all, /*idempotent=*/true, fn, runs));
+    DASHDB_RETURN_IF_ERROR(RunShards(
+        all, /*idempotent=*/true, fn, runs,
+        [&mem, what](const ShardAttemptOut& o) {
+          return mem.Add(BatchMemoryBytes(o.batch), what);
+        }));
     for (size_t s = 0; s < all.size(); ++s) {
       ShardRun& run = (*runs)[s];
       const MppExecStats& sstats = run.stats;
       out.shard_seconds[s] = run.seconds;
       out.shard_exec[s] = sstats;
       FoldExecStats(sstats, &out.exec);
-      DASHDB_RETURN_IF_ERROR(mem.Add(BatchMemoryBytes(run.out.batch), what));
       if (!analyze) continue;
       uint32_t sid = trace->AddSpan("Shard", root_span);
       TraceSpan& ss = trace->span(sid);

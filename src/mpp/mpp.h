@@ -179,7 +179,9 @@ class MppDatabase {
   /// fresh ungoverned context). Cancel()/deadline/budget on the root stop
   /// shard-local plans at the next morsel boundary, abort the coordinator
   /// before the next dispatch round, and bound the merged-result memory;
-  /// every shard attempt runs under a child of this root.
+  /// every SELECT shard attempt runs under a child of this root. Broadcast
+  /// statements (DDL/DML/SET) check it once, before shard 0, so a CANCEL
+  /// or timeout never lands between shards.
   Result<MppQueryResult> Execute(const std::string& sql,
                                  std::shared_ptr<QueryContext> qctx);
 
@@ -267,9 +269,16 @@ class MppDatabase {
   /// non-retryable error cancels in-flight siblings; the error returned is
   /// the lowest-index shard's own error, not a sibling's kCancelled.
   /// `idempotent` marks side-effect-free tasks (SELECT); non-idempotent
-  /// tasks only retry gate failures. `runs` is resized to num_shards().
+  /// tasks only retry gate failures and never consult the governor, since
+  /// what a shard applied cannot be taken back (Broadcast probes it once,
+  /// up front). `accept`, when set, runs on the worker thread as soon as an
+  /// attempt succeeds (the merge charges its result against the query
+  /// budget there); an error from it fails the attempt like any other.
+  /// `runs` is resized to num_shards().
+  using AcceptFn = std::function<Status(const ShardAttemptOut& out)>;
   Status RunShards(const std::vector<int>& shards, bool idempotent,
-                   const ShardFn& fn, std::vector<ShardRun>* runs);
+                   const ShardFn& fn, std::vector<ShardRun>* runs,
+                   const AcceptFn& accept = nullptr);
   /// First-result-wins speculation: the primary attempt runs async under
   /// its own child of `parent`; if the speculative re-execution finishes
   /// first, the loser is actively cancelled through that context and

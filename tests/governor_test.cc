@@ -469,6 +469,91 @@ TEST_F(GovernorTest, MppDeadlineAndBudget) {
   EXPECT_EQ(MppKey(*after), MppKey(*baseline));
 }
 
+TEST_F(GovernorTest, MppBudgetBreachedOnlyBySumOfShardResults) {
+  auto db = MakeMppDb();
+  // A plain scan: the coordinator's charges are the shard results it
+  // assembles, each about 1/8 of the total.
+  const std::string sql = "SELECT ID, V FROM T";
+  auto probe = std::make_shared<QueryContext>();
+  auto baseline = db->Execute(sql, probe);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const int64_t total = probe->mem_peak();
+  ASSERT_GT(total, 0);
+  // Every shard result fits on its own; together they do not. Each is
+  // charged as its attempt finishes, so the breach fails the query.
+  auto half = std::make_shared<QueryContext>();
+  half->SetMemBudget(total / 2);
+  auto r = db->Execute(sql, half);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("MPP result assembly"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(half->mem_used(), 0) << "every charge released";
+  EXPECT_LE(half->mem_peak(), total / 2);
+  // The exact total fits, and the answer is unchanged.
+  auto exact = std::make_shared<QueryContext>();
+  exact->SetMemBudget(total);
+  auto fits = db->Execute(sql, exact);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(MppKey(*fits), MppKey(*baseline));
+}
+
+TEST_F(GovernorTest, MppBroadcastIsAllOrNothingUnderCancel) {
+  auto db = MakeMppDb();
+  const int shards = db->num_shards();
+  // Cancel on every governor check a broadcast could make: the statement
+  // either stops before shard 0 or reaches every shard, never some.
+  for (int n = 1; n <= 2 * shards + 1; ++n) {
+    auto before = db->ShardRowCounts("PUBLIC", "T");
+    ASSERT_TRUE(before.ok());
+    auto qctx = std::make_shared<QueryContext>();
+    qctx->CancelAfterChecks(static_cast<uint64_t>(n));
+    auto r = db->Execute("DELETE FROM T WHERE V = " + std::to_string(n),
+                         qctx);
+    auto after = db->ShardRowCounts("PUBLIC", "T");
+    ASSERT_TRUE(after.ok());
+    if (!r.ok()) {
+      EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+      EXPECT_EQ(*after, *before) << "cancel at check " << n;
+    } else {
+      for (int s = 0; s < shards; ++s) {
+        EXPECT_LT((*after)[s], (*before)[s])
+            << "cancel at check " << n << ", shard " << s;
+      }
+    }
+    auto ddl = std::make_shared<QueryContext>();
+    ddl->CancelAfterChecks(static_cast<uint64_t>(n));
+    const std::string table = "U" + std::to_string(n);
+    auto created = db->Execute("CREATE TABLE " + table + " (A BIGINT)", ddl);
+    int have = 0;
+    for (int s = 0; s < shards; ++s) {
+      have += db->shard_engine(s)->GetTable("PUBLIC", table).ok() ? 1 : 0;
+    }
+    EXPECT_EQ(have, created.ok() ? shards : 0) << "cancel at check " << n;
+  }
+  // A wire CANCEL from another thread while the broadcast is between
+  // shards (each shard stalls 50ms): the statement still reaches them all.
+  FaultSpec stall;
+  stall.code = StatusCode::kOk;
+  stall.stall_seconds = 0.05;
+  FaultInjector::Global().Arm("mpp.shard_stall", stall);
+  auto before = db->ShardRowCounts("PUBLIC", "T");
+  ASSERT_TRUE(before.ok());
+  auto qctx = std::make_shared<QueryContext>();
+  std::thread canceller([qctx] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    qctx->Cancel();
+  });
+  auto r = db->Execute("DELETE FROM T WHERE V = 0", qctx);
+  canceller.join();
+  auto after = db->ShardRowCounts("PUBLIC", "T");
+  ASSERT_TRUE(after.ok());
+  int changed = 0;
+  for (int s = 0; s < shards; ++s) changed += (*after)[s] < (*before)[s];
+  EXPECT_EQ(changed, r.ok() ? shards : 0) << r.status().ToString();
+}
+
 TEST_F(GovernorTest, SpeculationActivelyCancelsLosingAttempt) {
   auto db = MakeMppDb();
   const std::string sql = "SELECT COUNT(*), SUM(V), MIN(V), MAX(V) FROM T";

@@ -285,11 +285,13 @@ TEST_F(MppFaultTest, FatalFaultJoinsSiblingsAndReportsItsOwnShard) {
         << r.status().ToString();
     EXPECT_NE(r.status().message().find("shard 5"), std::string::npos)
         << r.status().ToString();
-    // The fatal gate cancelled the round before any sibling reached its
-    // stall, and every sibling was joined before Execute returned: nothing
-    // is still running to hit the stall point afterwards.
-    EXPECT_GE(delta.Delta("exec.cancelled"), 1);
+    // The fatal gate ends the round before anything is dispatched: no
+    // sibling ran (so none hit the stall), an internal error is not
+    // counted as a user cancellation, and nothing is still running to hit
+    // the stall point afterwards.
+    EXPECT_EQ(delta.Delta("exec.cancelled"), 0);
     const uint64_t hits = FaultInjector::Global().PointStats(kShardStall).hits;
+    EXPECT_EQ(hits, 0u);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     EXPECT_EQ(FaultInjector::Global().PointStats(kShardStall).hits, hits);
   }
